@@ -1,8 +1,9 @@
 //! The dynamic twin of the static `no-alloc` rule: a counting global
-//! allocator proves the three `kite-lint: no-alloc` steady-state paths —
-//! `Outbox` flush→recycle, `InFlightTable` resolve/reuse, and the fabric's
-//! pooled encode→ring→decode cycle — perform **zero** heap allocations
-//! once warmed up. The static rule catches allocation *constructs*; this
+//! allocator proves the `kite-lint: no-alloc` steady-state paths —
+//! `Outbox` flush→recycle, `InFlightTable` resolve/reuse, the fabric's
+//! pooled encode→ring→decode cycle, the socket receive path (`RecvBuf`
+//! read→decode→consume) and metric recording — perform **zero** heap
+//! allocations once warmed up. The static rule catches allocation *constructs*; this
 //! test catches allocation *behavior* (a pool that silently stops pooling
 //! passes the lexical rule but fails here).
 //!
@@ -20,6 +21,7 @@ use kite::wire;
 use kite::{Msg, Op};
 use kite_common::{Key, Lc, NodeId, NodeSet, OpId, SessionId, Val};
 use kite_net::ring::{OutRing, Pool};
+use kite_net::RecvBuf;
 use kite_simnet::Outbox;
 
 /// Counts allocator calls while [`ARMED`]; allocation itself is delegated
@@ -220,4 +222,85 @@ fn metric_recording_does_not_allocate() {
     assert_eq!(n, 0, "metric recording allocated {n} times over 10k cycles");
     assert_eq!(c.get(), 64 + 4 * 10_000);
     assert!(sk.estimate() > 0);
+}
+
+/// Path 5: the receive side over a real loopback socket — one warmed
+/// `RecvBuf::read_from` → `decode_frame_body` → `consume` cycle per frame
+/// (what `service_conn_readable`/`decode_conn_frames` do per readable
+/// peer connection). Zero-filling is not an allocation, so the guard also
+/// pins the buffer's capacity and address, and [`MarkTail`] fails a buffer
+/// that re-zeroes its free tail between reads.
+#[test]
+fn socket_receive_path_does_not_allocate() {
+    use std::io::Write;
+    use std::net::{TcpListener, TcpStream};
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let mut tx = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+    let (stream, _) = listener.accept().expect("accept");
+    let mut rx = MarkTail { inner: stream, marked: false };
+    tx.set_nodelay(true).expect("nodelay");
+
+    let batch: Vec<Msg> = (0..8).map(sample_msg).collect();
+    let mut frame = Vec::new();
+    wire::encode_frame(NodeId(2), 0, &batch, &mut frame);
+    let mut rbuf = RecvBuf::with_capacity(kite_net::recvbuf::READ_CHUNK);
+    let mut msgs: Vec<Msg> = Vec::with_capacity(batch.len());
+
+    let mut cycle = |rbuf: &mut RecvBuf, msgs: &mut Vec<Msg>| {
+        tx.write_all(&frame).expect("send frame");
+        loop {
+            rbuf.read_from(&mut rx).expect("read frame");
+            let filled = rbuf.filled();
+            if filled.len() < 4 {
+                continue;
+            }
+            let blen = wire::frame_body_len([filled[0], filled[1], filled[2], filled[3]])
+                .expect("own frame");
+            if filled.len() < 4 + blen {
+                continue;
+            }
+            msgs.clear();
+            let (src, _) = wire::decode_frame_body(&filled[4..4 + blen], msgs).expect("own frame");
+            assert_eq!(src, NodeId(2));
+            rbuf.consume(4 + blen);
+            return;
+        }
+    };
+
+    for _ in 0..4 {
+        cycle(&mut rbuf, &mut msgs);
+    }
+    let (cap, base) = (rbuf.capacity(), rbuf.filled().as_ptr());
+    let n = count_allocs(|| {
+        for _ in 0..200 {
+            cycle(&mut rbuf, &mut msgs);
+            assert_eq!(msgs.len(), batch.len());
+        }
+    });
+    assert_eq!(n, 0, "receive path allocated {n} times over 200 cycles");
+    assert_eq!(rbuf.capacity(), cap, "receive buffer was resized");
+    assert!(rbuf.filled().is_empty(), "every frame consumed");
+    assert_eq!(rbuf.filled().as_ptr(), base, "receive buffer moved");
+}
+
+/// A socket reader that marks the unread tail of every buffer it is
+/// handed and checks the mark is still there on the next read: the last
+/// byte of a receive buffer's free tail only changes if the buffer writes
+/// it, which steady-state reads of small frames never should.
+struct MarkTail<R> {
+    inner: R,
+    marked: bool,
+}
+
+impl<R: std::io::Read> std::io::Read for MarkTail<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.marked {
+            assert_eq!(buf.last(), Some(&0xA5), "receive buffer re-zeroed between reads");
+        }
+        let n = self.inner.read(buf)?;
+        buf[n..].fill(0xA5);
+        self.marked = true;
+        Ok(n)
+    }
 }

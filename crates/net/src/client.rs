@@ -14,13 +14,15 @@
 //! `release`, …) is unchanged: it pipelines with window 1.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use kite::api::{Completion, Op, OpOutput};
 use kite::wire::{self, ClientFrame, Hello};
 use kite_common::{Key, KiteError, Result, SessionId, Val};
+
+use crate::recvbuf::{RecvBuf, READ_CHUNK};
 
 /// How long synchronous calls wait before reporting
 /// [`KiteError::Timeout`] (matches the in-process client boundary).
@@ -32,8 +34,6 @@ const WBUF_FLUSH: usize = 32 << 10;
 /// Hard cap on buffered unsent bytes before `submit` blocks draining the
 /// socket (keeps a backpressured client bounded).
 const WBUF_CAP: usize = 4 << 20;
-/// Read chunk size.
-const READ_CHUNK: usize = 64 << 10;
 
 /// A claimed remote session. Not `Clone` — a session is a single
 /// program-order stream.
@@ -56,7 +56,7 @@ pub struct RemoteSession {
     wbuf: Vec<u8>,
     wpos: usize,
     /// Unparsed inbound bytes.
-    rbuf: Vec<u8>,
+    rbuf: RecvBuf,
     /// A non-completion frame received out of band (hello replies).
     ctrl: Option<ClientFrame>,
 }
@@ -79,7 +79,7 @@ impl RemoteSession {
             dups: 0,
             wbuf: Vec::with_capacity(4096),
             wpos: 0,
-            rbuf: Vec::with_capacity(READ_CHUNK),
+            rbuf: RecvBuf::with_capacity(READ_CHUNK),
             ctrl: None,
         };
         s.wbuf.extend_from_slice(&wire::encode_hello(Hello::Client { slot }));
@@ -191,35 +191,33 @@ impl RemoteSession {
         }
     }
 
-    /// Sleep in `poll(2)` until the socket can make progress: readable
-    /// always wakes; writable additionally wakes while unsent bytes are
-    /// buffered. Blocking in the kernel (instead of a spin/park loop)
-    /// matters on loaded or few-core machines — a waiting client must
-    /// leave the CPU to the server loops it is waiting on.
     /// Public flavour of the progress wait for open-loop drivers: block up
     /// to `timeout` until the socket may have work (completion bytes
     /// readable, or buffered submits flushable), then return. The caller's
     /// next [`poll_completion`](Self::poll_completion) does the actual
     /// work. This lets a fixed-arrival-rate loop sleep between schedule
     /// slots instead of spinning — on few-core boxes a spinning client
-    /// starves the very event loops it is waiting on.
+    /// starves the very event loops it is waiting on. Sub-millisecond
+    /// timeouts are honoured.
     pub fn wait_event(&self, timeout: Duration) -> Result<()> {
         self.wait_progress(Instant::now() + timeout)
     }
 
+    /// Sleep in `ppoll(2)` until the socket can make progress: readable
+    /// always wakes; writable additionally wakes while unsent bytes are
+    /// buffered. Blocking in the kernel (instead of a spin/park loop)
+    /// matters on loaded or few-core machines — a waiting client must
+    /// leave the CPU to the server loops it is waiting on.
     fn wait_progress(&self, deadline: Instant) -> Result<()> {
         use std::os::fd::AsRawFd;
         // Cap each sleep so the caller's deadline check still runs.
-        let ms = deadline
-            .saturating_duration_since(Instant::now())
-            .min(Duration::from_millis(100))
-            .as_millis()
-            .max(1) as i32;
+        let timeout =
+            deadline.saturating_duration_since(Instant::now()).min(Duration::from_millis(100));
         let fd = self.stream.as_raw_fd();
         let r = if self.wpos < self.wbuf.len() {
-            crate::sys::wait_rw(fd, ms)
+            crate::sys::wait_rw(fd, timeout)
         } else {
-            crate::sys::wait_readable(fd, ms)
+            crate::sys::wait_readable(fd, timeout)
         };
         r.map(|_| ()).map_err(|e| KiteError::Net(format!("poll: {e}")))
     }
@@ -264,54 +262,37 @@ impl RemoteSession {
     /// complete frame.
     fn pump_reads(&mut self) -> Result<()> {
         loop {
-            let old = self.rbuf.len();
-            self.rbuf.resize(old + READ_CHUNK, 0);
-            match self.stream.read(&mut self.rbuf[old..]) {
+            match self.rbuf.read_from(&mut self.stream) {
                 Ok(0) => {
-                    self.rbuf.truncate(old);
                     self.parse_frames()?;
                     return Err(KiteError::Shutdown);
                 }
-                Ok(n) => {
-                    self.rbuf.truncate(old + n);
-                    self.parse_frames()?;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    self.rbuf.truncate(old);
-                    return Ok(());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                    self.rbuf.truncate(old);
-                }
-                Err(e) => {
-                    self.rbuf.truncate(old);
-                    return Err(KiteError::Net(format!("read: {e}")));
-                }
+                Ok(_) => self.parse_frames()?,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(KiteError::Net(format!("read: {e}"))),
             }
         }
     }
 
     fn parse_frames(&mut self) -> Result<()> {
-        let mut pos = 0usize;
-        while self.rbuf.len() - pos >= 4 {
-            let prefix =
-                [self.rbuf[pos], self.rbuf[pos + 1], self.rbuf[pos + 2], self.rbuf[pos + 3]];
+        loop {
+            let filled = self.rbuf.filled();
+            if filled.len() < 4 {
+                return Ok(());
+            }
+            let prefix = [filled[0], filled[1], filled[2], filled[3]];
             let blen = wire::frame_body_len(prefix)
                 .map_err(|e| KiteError::Net(format!("bad frame: {e}")))?;
-            if self.rbuf.len() - pos < 4 + blen {
-                break;
+            if filled.len() < 4 + blen {
+                self.rbuf.reserve_frame(4 + blen);
+                return Ok(());
             }
-            let frame = wire::decode_client_frame(&self.rbuf[pos + 4..pos + 4 + blen])
+            let frame = wire::decode_client_frame(&filled[4..4 + blen])
                 .map_err(|e| KiteError::Net(format!("bad frame: {e}")))?;
-            pos += 4 + blen;
+            self.rbuf.consume(4 + blen);
             self.dispatch(frame)?;
         }
-        if pos > 0 {
-            let len = self.rbuf.len();
-            self.rbuf.copy_within(pos..len, 0);
-            self.rbuf.truncate(len - pos);
-        }
-        Ok(())
     }
 
     /// Slot a decoded frame: completions land in the reorder window by

@@ -23,11 +23,12 @@
 //!   — the fabric behaves like a lossy NIC under backpressure, which is
 //!   exactly the failure model the protocols already recover from, so a
 //!   stalled peer bounds sender memory instead of growing a writer queue.
-//! * **Readiness-driven reads.** Inbound bytes accumulate in a per-
-//!   connection buffer; complete frames decode into pool-recycled
-//!   `Vec<Msg>` buffers and feed `Actor::on_envelope` directly. A
-//!   malformed frame closes that connection — never panics a worker — and
-//!   is counted on the link for the watchdog.
+//! * **Readiness-driven reads.** Inbound bytes land in a per-connection
+//!   [`RecvBuf`]; complete frames decode into pool-recycled `Vec<Msg>`
+//!   buffers and feed `Actor::on_envelope` directly. A read costs the bytes
+//!   it returns, never `READ_CHUNK`; receive buffers are cursor-consumed,
+//!   not re-zeroed. A malformed frame closes that connection — never panics
+//!   a worker — and is counted on the link for the watchdog.
 //! * **Remote clients in the loop.** Client connections (session claims)
 //!   are served by the owning worker's loop too: `Submit` frames feed the
 //!   session op channel, completions drain into the connection's ring.
@@ -56,6 +57,7 @@ use kite_simnet::{Actor, Clock, Outbox, WallClock};
 use parking_lot::Mutex;
 
 use crate::link::LinkTable;
+use crate::recvbuf::{RecvBuf, READ_CHUNK};
 use crate::ring::{Drain, OutRing, Pool};
 use crate::sys::{self, Poller, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
@@ -72,8 +74,9 @@ const POOL_CAP: usize = 64;
 /// Bytes read from one connection per readiness service (fairness bound —
 /// level-triggered epoll re-reports anything left).
 const READ_QUANTUM: usize = 256 << 10;
-/// Read chunk size.
-const READ_CHUNK: usize = 64 << 10;
+/// Receive-buffer capacity of a scrape connection: a request line longer
+/// than this is not one of ours.
+const SCRAPE_REQ_MAX: usize = 1024;
 /// Empty passes before the loop parks in `epoll_wait` with a timeout: a
 /// few zero-timeout polls catch on_tick follow-ups cheaply, then the loop
 /// sleeps — readiness (or the waker) ends the park immediately, and a
@@ -626,12 +629,12 @@ impl PeerOut {
 /// One inbound connection owned by a worker loop.
 enum Conn {
     /// Peer fabric traffic.
-    PeerIn { src: NodeId, stream: TcpStream, rbuf: Vec<u8> },
+    PeerIn { src: NodeId, stream: TcpStream, rbuf: RecvBuf },
     /// A remote client session.
     Client {
         slot: u32,
         stream: TcpStream,
-        rbuf: Vec<u8>,
+        rbuf: RecvBuf,
         ring: OutRing,
         op_tx: Sender<Op>,
         done_rx: Receiver<Completion>,
@@ -644,7 +647,7 @@ enum Conn {
     /// One scrape connection: reads a one-line request (`scrape` or
     /// `dump`), writes the rendered text, closes. `done` flips once the
     /// response is queued; the conn closes when the ring drains.
-    Scrape { stream: TcpStream, rbuf: Vec<u8>, ring: OutRing, want_out: bool, done: bool },
+    Scrape { stream: TcpStream, rbuf: RecvBuf, ring: OutRing, want_out: bool, done: bool },
 }
 
 impl Conn {
@@ -1203,7 +1206,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     fn register_conn(&mut self, nc: NewConn) {
         let conn = match nc {
             NewConn::Peer { src, stream } => {
-                Conn::PeerIn { src, stream, rbuf: Vec::with_capacity(READ_CHUNK) }
+                Conn::PeerIn { src, stream, rbuf: RecvBuf::with_capacity(READ_CHUNK) }
             }
             NewConn::Client { slot, stream } => match self.claim_session(slot) {
                 Ok((op_tx, done_rx)) => {
@@ -1215,7 +1218,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                     Conn::Client {
                         slot,
                         stream,
-                        rbuf: Vec::with_capacity(READ_CHUNK),
+                        rbuf: RecvBuf::with_capacity(READ_CHUNK),
                         ring,
                         op_tx,
                         done_rx,
@@ -1316,31 +1319,21 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                     break 'read;
                 }
             };
-            let old = rbuf.len();
-            rbuf.resize(old + READ_CHUNK, 0);
-            match stream.read(&mut rbuf[old..]) {
+            match rbuf.read_from(stream) {
                 Ok(0) => {
-                    rbuf.truncate(old);
                     alive = false;
                     break 'read;
                 }
                 Ok(n) => {
-                    rbuf.truncate(old + n);
                     budget = budget.saturating_sub(n);
                     if !self.decode_conn_frames(&mut conn) {
                         alive = false;
                         break 'read;
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    rbuf.truncate(old);
-                    break 'read;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                    rbuf.truncate(old);
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break 'read,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    rbuf.truncate(old);
                     alive = false;
                     break 'read;
                 }
@@ -1363,12 +1356,12 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                 let src = *src;
                 let link = self.links.link(src, self.worker);
                 link.last_rx_ns.store(self.clock.now(), Ordering::Relaxed);
-                let mut pos = 0usize;
-                let ok = loop {
-                    if rbuf.len() - pos < 4 {
+                loop {
+                    let filled = rbuf.filled();
+                    if filled.len() < 4 {
                         break true;
                     }
-                    let prefix = [rbuf[pos], rbuf[pos + 1], rbuf[pos + 2], rbuf[pos + 3]];
+                    let prefix = [filled[0], filled[1], filled[2], filled[3]];
                     let blen = match wire::frame_body_len(prefix) {
                         Ok(l) => l,
                         Err(_) => {
@@ -1376,14 +1369,16 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                             break false;
                         }
                     };
-                    if rbuf.len() - pos < 4 + blen {
-                        break true; // partial frame: wait for more bytes
+                    if filled.len() < 4 + blen {
+                        // Partial frame: wait for more bytes.
+                        rbuf.reserve_frame(4 + blen);
+                        break true;
                     }
                     let mut msgs = self.msg_pool.pop();
-                    match wire::decode_frame_body(&rbuf[pos + 4..pos + 4 + blen], &mut msgs) {
+                    match wire::decode_frame_body(&filled[4..4 + blen], &mut msgs) {
                         Ok((frame_src, mepoch)) if frame_src == src => {
                             link.frames_in.fetch_add(1, Ordering::Relaxed);
-                            pos += 4 + blen;
+                            rbuf.consume(4 + blen);
                             let now = self.clock.now();
                             self.actor.on_envelope_stamped(src, mepoch, &mut msgs, now, &mut self.out);
                             self.msg_pool.put(msgs);
@@ -1396,37 +1391,32 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                             break false;
                         }
                     }
-                };
-                compact(rbuf, pos);
-                ok
+                }
             }
-            Conn::Client { rbuf, op_tx, .. } => {
-                let mut pos = 0usize;
-                let ok = loop {
-                    if rbuf.len() - pos < 4 {
-                        break true;
-                    }
-                    let prefix = [rbuf[pos], rbuf[pos + 1], rbuf[pos + 2], rbuf[pos + 3]];
-                    let blen = u32::from_le_bytes(prefix) as usize;
-                    if blen > wire::MAX_FRAME {
-                        break false; // malformed client: drop the connection
-                    }
-                    if rbuf.len() - pos < 4 + blen {
-                        break true;
-                    }
-                    match wire::decode_client_frame(&rbuf[pos + 4..pos + 4 + blen]) {
-                        Ok(ClientFrame::Submit(op)) => {
-                            pos += 4 + blen;
-                            if op_tx.send(op).is_err() {
-                                break false; // node shutting down
-                            }
+            Conn::Client { rbuf, op_tx, .. } => loop {
+                let filled = rbuf.filled();
+                if filled.len() < 4 {
+                    break true;
+                }
+                let prefix = [filled[0], filled[1], filled[2], filled[3]];
+                let blen = u32::from_le_bytes(prefix) as usize;
+                if blen > wire::MAX_FRAME {
+                    break false; // malformed client: drop the connection
+                }
+                if filled.len() < 4 + blen {
+                    rbuf.reserve_frame(4 + blen);
+                    break true;
+                }
+                match wire::decode_client_frame(&filled[4..4 + blen]) {
+                    Ok(ClientFrame::Submit(op)) => {
+                        rbuf.consume(4 + blen);
+                        if op_tx.send(op).is_err() {
+                            break false; // node shutting down
                         }
-                        _ => break false, // anything else from a client is malformed
                     }
-                };
-                compact(rbuf, pos);
-                ok
-            }
+                    _ => break false, // anything else from a client is malformed
+                }
+            },
             // Scrape-plane conns carry no fabric frames.
             Conn::ScrapeListener { .. } | Conn::Scrape { .. } => true,
         }
@@ -1554,7 +1544,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
     fn register_scrape_conn(&mut self, stream: TcpStream) {
         let conn = Conn::Scrape {
             stream,
-            rbuf: Vec::with_capacity(256),
+            rbuf: RecvBuf::with_capacity(SCRAPE_REQ_MAX),
             ring: OutRing::new(),
             want_out: false,
             done: false,
@@ -1586,16 +1576,10 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                 return true;
             };
             loop {
-                let old = rbuf.len();
-                if old > 1024 {
-                    // A "request" that long is not one of ours.
-                    alive = false;
-                    break;
-                }
-                rbuf.resize(old + 256, 0);
-                match stream.read(&mut rbuf[old..]) {
+                // A request that overfills the buffer is not one of ours:
+                // `read_from` reports it as an error and the conn closes.
+                match rbuf.read_from(stream) {
                     Ok(0) => {
-                        rbuf.truncate(old);
                         // EOF with the response already queued is the
                         // normal half-close; before a full request, close.
                         if !*done {
@@ -1603,22 +1587,16 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
                         }
                         break;
                     }
-                    Ok(n) => rbuf.truncate(old + n),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        rbuf.truncate(old);
-                        break;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                        rbuf.truncate(old);
-                    }
+                    Ok(_) => {}
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(_) => {
-                        rbuf.truncate(old);
                         alive = false;
                         break;
                     }
                 }
             }
-            if alive && !*done && rbuf.contains(&b'\n') {
+            if alive && !*done && rbuf.filled().contains(&b'\n') {
                 respond = true;
                 *done = true;
             }
@@ -1626,7 +1604,7 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
         if respond {
             let text = {
                 let Conn::Scrape { rbuf, .. } = &conn else { unreachable!() };
-                let line = rbuf.split(|&b| b == b'\n').next().unwrap_or(&[]);
+                let line = rbuf.filled().split(|&b| b == b'\n').next().unwrap_or(&[]);
                 self.render_scrape_response(line)
             };
             let Conn::Scrape { ring, .. } = &mut conn else { unreachable!() };
@@ -1771,14 +1749,4 @@ impl<A: Actor<Msg = Msg>> EventLoop<A> {
             self.close_conn(idx);
         }
     }
-}
-
-/// Drop `buf[..pos]`, keeping the unparsed tail at the front.
-fn compact(buf: &mut Vec<u8>, pos: usize) {
-    if pos == 0 {
-        return;
-    }
-    let len = buf.len();
-    buf.copy_within(pos..len, 0);
-    buf.truncate(len - pos);
 }

@@ -17,6 +17,8 @@
 //!   (the workspace carries no libc/mio/tokio crates).
 //! * [`ring`] — the bounded outbound frame ring and the shared buffer
 //!   pools.
+//! * [`recvbuf`] — [`RecvBuf`], the one receive buffer behind every socket
+//!   reader: reads land in its free tail, frames are consumed by cursor.
 //! * [`node`] — [`NodeRuntime`]: one Kite node as a process (session
 //!   plumbing, workers over the fabric, in-loop remote-session serving,
 //!   clean shutdown); [`launch_local_cluster`] runs a whole cluster on
@@ -40,6 +42,7 @@ pub mod client;
 pub mod fabric;
 pub mod link;
 pub mod node;
+pub mod recvbuf;
 pub mod ring;
 pub mod scrape;
 pub mod sys;
@@ -50,4 +53,5 @@ pub use fabric::{
     TcpNetCfg, TcpWorkerIo,
 };
 pub use link::{LinkPhase, LinkState, LinkTable};
+pub use recvbuf::RecvBuf;
 pub use node::{launch_local_cluster, NodeConfig, NodeRuntime, NodeWatchdog};

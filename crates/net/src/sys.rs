@@ -1,4 +1,5 @@
-//! Raw-libc epoll / eventfd / nonblocking-connect surface for the event loop.
+//! Raw-libc epoll / eventfd / ppoll / nonblocking-connect surface for the
+//! event loop and the blocking client.
 //!
 //! The workspace deliberately carries no `libc`/`mio`/`tokio` crates, so the
 //! fabric talks to the kernel through the same hand-declared `extern "C"`
@@ -7,9 +8,11 @@
 //! the declarations match glibc's ABI on x86_64 (where `struct epoll_event`
 //! is packed) and the generic layout elsewhere.
 
+use std::ffi::{c_long, c_ulong, c_void};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
+use std::time::Duration;
 
 // epoll_ctl ops.
 const EPOLL_CTL_ADD: i32 = 1;
@@ -72,6 +75,14 @@ struct PollFd {
     revents: i16,
 }
 
+/// `struct timespec` — `time_t` and `long` are both `long` on the Linux
+/// ABIs this crate targets.
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
@@ -83,7 +94,12 @@ extern "C" {
     fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
     fn connect(fd: i32, addr: *const SockaddrIn, len: u32) -> i32;
     fn getsockopt(fd: i32, level: i32, optname: i32, optval: *mut i32, optlen: *mut u32) -> i32;
-    fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+    fn ppoll(
+        fds: *mut PollFd,
+        nfds: c_ulong,
+        timeout: *const Timespec,
+        sigmask: *const c_void,
+    ) -> i32;
 }
 
 /// `POLLIN` for [`wait_readable`]/[`wait_rw`].
@@ -91,26 +107,32 @@ const POLL_IN: i16 = 0x001;
 /// `POLLOUT` for [`wait_rw`].
 const POLL_OUT: i16 = 0x004;
 
-/// Block the calling thread until `fd` is readable (or `timeout_ms`
-/// passes; `-1` = forever). Returns `Ok(true)` if readable/closed,
+/// Block the calling thread until `fd` is readable (or `timeout` passes,
+/// to the nanosecond: `ppoll(2)` takes a `timespec`, so a sub-millisecond
+/// wait is not rounded up). Returns `Ok(true)` if readable/closed,
 /// `Ok(false)` on timeout. The single-connection client uses this instead
 /// of a spin/park loop — on a loaded (or single-core) box, a thread that
-/// sleeps in `poll(2)` leaves the CPU to the event loops it is waiting on.
-pub fn wait_readable(fd: RawFd, timeout_ms: i32) -> io::Result<bool> {
-    wait_fd(fd, POLL_IN, timeout_ms)
+/// sleeps in the kernel leaves the CPU to the event loops it is waiting on.
+pub fn wait_readable(fd: RawFd, timeout: Duration) -> io::Result<bool> {
+    wait_fd(fd, POLL_IN, timeout)
 }
 
 /// Block until `fd` is readable **or** writable (used while flushing a
 /// full outbound buffer without deadlocking against inbound completions).
-pub fn wait_rw(fd: RawFd, timeout_ms: i32) -> io::Result<bool> {
-    wait_fd(fd, POLL_IN | POLL_OUT, timeout_ms)
+pub fn wait_rw(fd: RawFd, timeout: Duration) -> io::Result<bool> {
+    wait_fd(fd, POLL_IN | POLL_OUT, timeout)
 }
 
-fn wait_fd(fd: RawFd, events: i16, timeout_ms: i32) -> io::Result<bool> {
+fn wait_fd(fd: RawFd, events: i16, timeout: Duration) -> io::Result<bool> {
     let mut pfd = PollFd { fd, events, revents: 0 };
-    // SAFETY: `pfd` is a live stack value matching the kernel's pollfd
-    // layout; nfds=1 bounds the kernel's access to exactly that one entry.
-    let rc = unsafe { poll(&mut pfd, 1, timeout_ms) };
+    let ts = Timespec {
+        tv_sec: c_long::try_from(timeout.as_secs()).unwrap_or(c_long::MAX),
+        tv_nsec: timeout.subsec_nanos() as c_long,
+    };
+    // SAFETY: `pfd` and `ts` are live stack values matching the kernel's
+    // pollfd/timespec layouts; nfds=1 bounds the kernel's access to exactly
+    // that one entry, and a null sigmask leaves the signal mask unchanged.
+    let rc = unsafe { ppoll(&mut pfd, 1, &ts, std::ptr::null()) };
     if rc < 0 {
         let err = io::Error::last_os_error();
         if err.kind() == io::ErrorKind::Interrupted {

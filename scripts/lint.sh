@@ -8,9 +8,10 @@
 #                                      # baseline is meant to only shrink)
 #
 # Exit codes: 0 clean (grandfathered entries allowed), 1 new violations,
-# 2 usage/IO error. The same check runs as a workspace test
-# (crates/lint/tests/workspace.rs), so `cargo test -q` enforces it too;
-# this script is the fast, human-facing form with the ratchet diff.
+# 2 usage/IO error. The same check runs as a test of the kite-lint crate
+# (crates/lint/tests/workspace.rs); the root manifest lists every member in
+# `default-members`, so the plain `cargo test -q` at the root enforces it
+# too. This script is the fast, human-facing form with the ratchet diff.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
