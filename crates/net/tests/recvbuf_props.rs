@@ -21,7 +21,7 @@ use proptest::test_runner::TestRng;
 enum Kind {
     Peer,
     Client,
-    /// Length-validated only; compared byte for byte.
+    /// Length-validated only; compared by length and content hash.
     Opaque,
 }
 
