@@ -26,7 +26,7 @@ const MS: u64 = 1_000_000;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "quick");
-    // Timeline compressed 2× in quick mode.
+    // The failure timeline is compressed 2× in quick mode.
     let (sleep_at, sleep_dur, total) =
         if quick { (30 * MS, 120 * MS, 220 * MS) } else { (100 * MS, 400 * MS, 700 * MS) };
     let sample = 5 * MS;

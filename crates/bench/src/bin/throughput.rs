@@ -790,7 +790,13 @@ fn diff_against_baseline(path: &str, micro: &[(String, f64)], e2e: &[Row]) {
 fn main() {
     let out_arg = arg_after("--out");
     let out_path = out_arg.clone().unwrap_or_else(|| "BENCH_micro.json".into());
-    let seed: u64 = arg_after("--seed").and_then(|s| s.parse().ok()).unwrap_or(42);
+    let seed: u64 = match arg_after("--seed") {
+        None => 42,
+        Some(s) => s.parse().unwrap_or_else(|_| {
+            eprintln!("bad --seed {s} (expected an unsigned integer)");
+            std::process::exit(2);
+        }),
+    };
     let transport = arg_after("--transport").unwrap_or_else(|| "sim".into());
     let (run_sim, run_threaded, run_tcp) = match transport.as_str() {
         "sim" => (true, false, false),

@@ -17,7 +17,8 @@
 //!   path (the paper's evaluation uses 32-byte values).
 //! * [`nodeset`] — bitset over replica ids and quorum arithmetic.
 //! * [`config`] — deployment configuration shared by Kite and the baselines.
-//! * [`stats`] — cheap concurrent counters and a log-bucketed histogram.
+//! * [`stats`] — `ProtoCounters`, the per-node protocol event counters
+//!   (each a `kite_metrics::Counter`) and their name table.
 //! * [`rng`] — tiny splittable PRNG for deterministic hot-path decisions.
 //! * [`error`] — the common error type.
 

@@ -1,259 +1,110 @@
-//! Lightweight concurrent instrumentation.
+//! Per-node protocol event counters.
 //!
-//! The evaluation reports throughput in million requests per second (mreqs)
-//! overall and per node (Fig 5–9), plus a per-5ms timeline in the failure
-//! study (Fig 9). [`Counter`] is a cache-padded atomic the workers bump per
-//! completed request; [`Histogram`] is a log-bucketed latency histogram for
-//! the Criterion micro-benches and the examples.
+//! The evaluation reads its results off these: throughput in million
+//! requests per second (Fig 5–9), the local-read share, fast/slow releases,
+//! epoch bumps and the message amplification §6.3 batching removes. Each
+//! field is a [`kite_metrics::Counter`] (cache-padded, bumped with a Relaxed
+//! `fetch_add`), and [`ProtoCounters::TABLE`] names every field, generated
+//! from the same list as the struct so no counter can exist unexported.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use kite_metrics::Counter;
 
-/// A cache-line-padded monotone counter.
-///
-/// Padding matters: throughput counters are bumped on every completed
-/// request from every worker; without padding they false-share.
-#[repr(align(128))]
-#[derive(Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Add `n`.
-    // ordering: Relaxed — a statistics counter orders nothing; readers want
-    // an eventually-accurate total, never a happens-before edge.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    #[inline]
-    /// Add one.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    // ordering: Relaxed — see `add`.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-impl std::fmt::Debug for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Counter({})", self.get())
-    }
-}
-
-/// Per-node protocol event counters, used by benches to report message
-/// amplification and fast/slow-path transitions alongside throughput.
-#[derive(Default, Debug)]
-pub struct ProtoCounters {
-    /// Completed client requests (any type).
-    pub completed: Counter,
-    /// Relaxed reads served locally (ES fast path).
-    pub local_reads: Counter,
-    /// Relaxed accesses that had to take the slow path (out-of-epoch keys).
-    pub slow_path_accesses: Counter,
-    /// Releases that executed the fast-path barrier (all-acked).
-    pub fast_releases: Counter,
-    /// Releases that fell back to the slow-path barrier (DM-set broadcast).
-    pub slow_releases: Counter,
-    /// Acquires that discovered delinquency and bumped the machine epoch.
-    pub epoch_bumps: Counter,
-    /// Network envelopes sent (after batching).
-    pub envelopes_sent: Counter,
-    /// Protocol messages sent (before batching).
-    pub msgs_sent: Counter,
-    /// Ack *messages* sent: single `Ack`s, delinquent `WriteAck`s, and each
-    /// `AckBatch` counted once. `acks_sent / writes` is the
-    /// acks-per-write figure the throughput harness reports.
-    pub acks_sent: Counter,
-    /// Plain acks that rode inside an `AckBatch` (rids coalesced).
-    pub acks_coalesced: Counter,
-    /// `AckBatch` messages emitted (each replacing `acks_coalesced /
-    /// msgs_batched` individual acks on average).
-    pub msgs_batched: Counter,
-    /// Anti-entropy digest messages sent (`nodes − 1` per sweep: one digest
-    /// is broadcast to every peer).
-    pub ae_digests_sent: Counter,
-    /// `(key, lc)` entries carried inside sent digests (the digest "bytes"
-    /// figure: 16 bytes per entry on the wire model).
-    pub ae_digest_keys: Counter,
-    /// Merkle-mode anti-entropy summaries sent (the top-level sweep
-    /// broadcast and every drill-down child summary, each counted once).
-    pub ae_summaries_sent: Counter,
-    /// Merkle drill-down requests sent (a summary range mismatched).
-    pub ae_merkle_reqs: Counter,
-    /// Estimated wire bytes of digest-plane anti-entropy traffic sent:
-    /// flat digests, Merkle summaries and drill-down requests (repair
-    /// pulls/values are excluded — repair traffic is proportional to real
-    /// divergence in either mode). This is the figure the Merkle mode
-    /// exists to shrink: O(log store) per steady-state sweep instead of
-    /// O(store) per sweep cycle.
-    pub ae_digest_bytes: Counter,
-    /// Anti-entropy repair-pull requests sent (digest receiver was behind).
-    pub ae_repair_reqs: Counter,
-    /// Anti-entropy repair values sent (pull answers, stale-sender pushes,
-    /// and commit-completion fills routed through the subsystem).
-    pub ae_repair_vals: Counter,
-    /// Repair values whose `apply_max` actually advanced the local store —
-    /// real divergence healed, as opposed to already-converged traffic.
-    pub ae_repairs_applied: Counter,
-    /// Estimated wire bytes of repair *values* sent (the complement of
-    /// `ae_digest_bytes`: divergence-proportional payload, not sweep
-    /// overhead). Summed across a learner's peers this is the bulk-sync
-    /// transfer cost of a catch-up — the figure `scripts/bench.sh`
-    /// reports per join.
-    pub ae_repair_bytes: Counter,
-    /// Memberships installed into the live cell (commit applies, WAL
-    /// replay, and anti-entropy repairs of the membership key that carried
-    /// a strictly newer epoch).
-    pub membership_installs: Counter,
-    /// Envelopes dropped at the receive gate because the sender stamped a
-    /// membership epoch older than ours (each drop is answered with a
-    /// membership repair push).
-    pub stale_epoch_dropped: Counter,
-    /// Membership pulls sent after seeing a sender stamp a *newer* epoch
-    /// than ours (we process the batch but ask for the config we're
-    /// missing).
-    pub membership_pulls: Counter,
-}
-
-impl ProtoCounters {
-    /// Average messages per envelope — the §6.3 batching effectiveness.
-    pub fn batching_factor(&self) -> f64 {
-        let env = self.envelopes_sent.get();
-        if env == 0 {
-            0.0
-        } else {
-            self.msgs_sent.get() as f64 / env as f64
+/// Declares `ProtoCounters` and its name table from one field list.
+macro_rules! proto_counters {
+    (
+        $(#[$meta:meta])*
+        pub struct $ty:ident {
+            $( $(#[$fmeta:meta])* pub $name:ident: Counter, )*
         }
-    }
-}
-
-/// Log-bucketed latency histogram: bucket `i` covers `[2^i, 2^(i+1))` ns.
-/// Recording is lock-free; merging and quantile queries are for reporting.
-pub struct Histogram {
-    buckets: Vec<AtomicU64>,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    const BUCKETS: usize = 48; // up to ~2^48 ns ≈ 3 days
-
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram { buckets: (0..Self::BUCKETS).map(|_| AtomicU64::new(0)).collect() }
-    }
-
-    #[inline]
-    fn bucket_of(v: u64) -> usize {
-        (64 - v.max(1).leading_zeros() as usize - 1).min(Self::BUCKETS - 1)
-    }
-
-    /// Record one sample.
-    // ordering: Relaxed — same statistics-only contract as `Counter::add`:
-    // bucket totals are read for reporting, never for synchronization, and
-    // a racing snapshot that misses in-flight increments is acceptable.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.buckets[Self::bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total recorded samples.
-    // ordering: Relaxed — see `record`.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Approximate quantile (upper bound of the containing bucket).
-    // ordering: Relaxed — see `record`.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
+    ) => {
+        $(#[$meta])*
+        pub struct $ty {
+            $( $(#[$fmeta])* pub $name: Counter, )*
         }
-        let target = ((total as f64) * q).ceil() as u64;
-        let mut acc = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            acc += b.load(Ordering::Relaxed);
-            if acc >= target {
-                return 1u64 << (i + 1);
-            }
-        }
-        1u64 << Self::BUCKETS
-    }
 
-    /// Fold another histogram's buckets into this one.
-    // ordering: Relaxed — see `record`; merging tolerates a concurrent
-    // writer to `other` the same way a snapshot read does.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (a, b) in self.buckets.iter().zip(other.buckets.iter()) {
-            a.fetch_add(b.load(Ordering::Relaxed), Ordering::Relaxed);
+        impl $ty {
+            /// Every counter as `(field name, accessor)`, in declaration
+            /// order: the one list exporters (the scrape endpoint) walk.
+            pub const TABLE: &'static [(&'static str, fn(&$ty) -> &Counter)] =
+                &[$( (stringify!($name), |c| &c.$name), )*];
         }
-    }
+    };
 }
 
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Histogram(n={}, p50≤{}ns, p99≤{}ns)",
-            self.count(),
-            self.quantile(0.5),
-            self.quantile(0.99)
-        )
-    }
-}
-
-/// Samples a set of counters at a fixed period, producing the Fig 9-style
-/// throughput timeline (requests completed per interval, per node).
-pub struct Timeline {
-    /// Interval length in nanoseconds.
-    pub interval_ns: u64,
-    /// `samples[i][node]` = counter delta during interval `i`.
-    pub samples: Vec<Vec<u64>>,
-}
-
-impl Timeline {
-    /// A timeline bucketing samples every `interval_ns`.
-    pub fn new(interval_ns: u64) -> Self {
-        Timeline { interval_ns, samples: Vec::new() }
-    }
-
-    /// Record one sampling period given absolute counter values.
-    /// `prev` is updated in place to the current values.
-    pub fn push_sample(&mut self, current: &[u64], prev: &mut Vec<u64>) {
-        if prev.len() != current.len() {
-            *prev = vec![0; current.len()];
-        }
-        let delta: Vec<u64> =
-            current.iter().zip(prev.iter()).map(|(c, p)| c.saturating_sub(*p)).collect();
-        prev.copy_from_slice(current);
-        self.samples.push(delta);
-    }
-
-    /// Throughput of interval `i` in million requests per second, summed
-    /// over all nodes.
-    pub fn mreqs_total(&self, i: usize) -> f64 {
-        let total: u64 = self.samples[i].iter().sum();
-        total as f64 / (self.interval_ns as f64 / 1e9) / 1e6
-    }
-
-    /// Per-node throughput of interval `i` in mreqs.
-    pub fn mreqs_node(&self, i: usize, node: usize) -> f64 {
-        self.samples[i][node] as f64 / (self.interval_ns as f64 / 1e9) / 1e6
+proto_counters! {
+    /// Per-node protocol event counters, used by benches to report message
+    /// amplification and fast/slow-path transitions alongside throughput.
+    #[derive(Default, Debug)]
+    pub struct ProtoCounters {
+        /// Completed client requests (any type).
+        pub completed: Counter,
+        /// Relaxed reads served locally (ES fast path).
+        pub local_reads: Counter,
+        /// Relaxed accesses that had to take the slow path (out-of-epoch keys).
+        pub slow_path_accesses: Counter,
+        /// Releases that executed the fast-path barrier (all-acked).
+        pub fast_releases: Counter,
+        /// Releases that fell back to the slow-path barrier (DM-set broadcast).
+        pub slow_releases: Counter,
+        /// Acquires that discovered delinquency and bumped the machine epoch.
+        pub epoch_bumps: Counter,
+        /// Network envelopes sent (after batching).
+        pub envelopes_sent: Counter,
+        /// Protocol messages sent (before batching).
+        pub msgs_sent: Counter,
+        /// Ack *messages* sent: single `Ack`s, delinquent `WriteAck`s, and each
+        /// `AckBatch` counted once. `acks_sent / writes` is the
+        /// acks-per-write figure the throughput harness reports.
+        pub acks_sent: Counter,
+        /// Plain acks that rode inside an `AckBatch` (rids coalesced).
+        pub acks_coalesced: Counter,
+        /// `AckBatch` messages emitted (each replacing `acks_coalesced /
+        /// msgs_batched` individual acks on average).
+        pub msgs_batched: Counter,
+        /// Anti-entropy digest messages sent (`nodes − 1` per sweep: one digest
+        /// is broadcast to every peer).
+        pub ae_digests_sent: Counter,
+        /// `(key, lc)` entries carried inside sent digests (the digest "bytes"
+        /// figure: 16 bytes per entry on the wire model).
+        pub ae_digest_keys: Counter,
+        /// Merkle-mode anti-entropy summaries sent (the top-level sweep
+        /// broadcast and every drill-down child summary, each counted once).
+        pub ae_summaries_sent: Counter,
+        /// Merkle drill-down requests sent (a summary range mismatched).
+        pub ae_merkle_reqs: Counter,
+        /// Estimated wire bytes of digest-plane anti-entropy traffic sent:
+        /// flat digests, Merkle summaries and drill-down requests (repair
+        /// pulls/values are excluded — repair traffic is proportional to real
+        /// divergence in either mode). This is the figure the Merkle mode
+        /// exists to shrink: O(log store) per steady-state sweep instead of
+        /// O(store) per sweep cycle.
+        pub ae_digest_bytes: Counter,
+        /// Anti-entropy repair-pull requests sent (digest receiver was behind).
+        pub ae_repair_reqs: Counter,
+        /// Anti-entropy repair values sent (pull answers, stale-sender pushes,
+        /// and commit-completion fills routed through the subsystem).
+        pub ae_repair_vals: Counter,
+        /// Repair values whose `apply_max` actually advanced the local store —
+        /// real divergence healed, as opposed to already-converged traffic.
+        pub ae_repairs_applied: Counter,
+        /// Estimated wire bytes of repair *values* sent (the complement of
+        /// `ae_digest_bytes`: divergence-proportional payload, not sweep
+        /// overhead). Summed across a learner's peers this is the bulk-sync
+        /// transfer cost of a catch-up — the figure `scripts/bench.sh`
+        /// reports per join.
+        pub ae_repair_bytes: Counter,
+        /// Memberships installed into the live cell (commit applies, WAL
+        /// replay, and anti-entropy repairs of the membership key that carried
+        /// a strictly newer epoch).
+        pub membership_installs: Counter,
+        /// Envelopes dropped at the receive gate because the sender stamped a
+        /// membership epoch older than ours (each drop is answered with a
+        /// membership repair push).
+        pub stale_epoch_dropped: Counter,
+        /// Membership pulls sent after seeing a sender stamp a *newer* epoch
+        /// than ours (we process the batch but ask for the config we're
+        /// missing).
+        pub membership_pulls: Counter,
     }
 }
 
@@ -262,67 +113,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_basics() {
-        let c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn counter_is_padded() {
-        assert!(std::mem::align_of::<Counter>() >= 128);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        assert_eq!(Histogram::bucket_of(1), 0);
-        assert_eq!(Histogram::bucket_of(2), 1);
-        assert_eq!(Histogram::bucket_of(3), 1);
-        assert_eq!(Histogram::bucket_of(1024), 10);
-        assert_eq!(Histogram::bucket_of(0), 0); // clamped
-    }
-
-    #[test]
-    fn histogram_quantiles_bound_recordings() {
-        let h = Histogram::new();
-        for v in [100u64, 200, 400, 800, 100_000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert!(h.quantile(0.5) >= 200);
-        assert!(h.quantile(1.0) >= 100_000);
-        assert!(h.quantile(0.01) >= 100);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(10);
-        b.record(20);
-        a.merge_from(&b);
-        assert_eq!(a.count(), 2);
-    }
-
-    #[test]
-    fn timeline_deltas() {
-        let mut t = Timeline::new(5_000_000); // 5 ms
-        let mut prev = Vec::new();
-        t.push_sample(&[100, 50], &mut prev);
-        t.push_sample(&[300, 50], &mut prev);
-        assert_eq!(t.samples[0], vec![100, 50]);
-        assert_eq!(t.samples[1], vec![200, 0]);
-        // 200 reqs in 5 ms = 40_000 reqs/s = 0.04 mreqs
-        assert!((t.mreqs_total(1) - 0.04).abs() < 1e-9);
-        assert!((t.mreqs_node(1, 1) - 0.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn batching_factor() {
-        let p = ProtoCounters::default();
-        p.msgs_sent.add(30);
-        p.envelopes_sent.add(10);
-        assert!((p.batching_factor() - 3.0).abs() < 1e-9);
+    fn table_covers_every_field() {
+        // Every field is one padded counter, so the struct's size counts
+        // its fields; a field missing from the table would show here.
+        assert_eq!(
+            ProtoCounters::TABLE.len() * std::mem::size_of::<Counter>(),
+            std::mem::size_of::<ProtoCounters>()
+        );
     }
 }

@@ -18,7 +18,6 @@ pub struct SimCluster {
     /// The discrete-event executor; actors are the Kite workers.
     pub sim: Sim<Worker>,
     shared: Vec<Arc<NodeShared>>,
-    counters: Vec<Arc<ProtoCounters>>,
     cfg: ClusterConfig,
 }
 
@@ -35,10 +34,8 @@ impl SimCluster {
         hook: Option<CompletionHook>,
     ) -> Self {
         cfg.validate().expect("invalid cluster config");
-        let counters: Vec<Arc<ProtoCounters>> =
-            (0..cfg.nodes).map(|_| Arc::new(ProtoCounters::default())).collect();
         let shared: Vec<Arc<NodeShared>> = (0..cfg.nodes)
-            .map(|n| NodeShared::new(NodeId(n as u8), cfg.clone(), Arc::clone(&counters[n])))
+            .map(|n| NodeShared::new(NodeId(n as u8), cfg.clone(), Arc::new(ProtoCounters::default())))
             .collect();
 
         let mut actors: Vec<Vec<Worker>> = Vec::with_capacity(cfg.nodes);
@@ -65,7 +62,7 @@ impl SimCluster {
             actors.push(per_node);
         }
 
-        SimCluster { sim: Sim::new(actors, sim_cfg), shared, counters, cfg }
+        SimCluster { sim: Sim::new(actors, sim_cfg), shared, cfg }
     }
 
     /// The deployment's configuration.
@@ -80,17 +77,17 @@ impl SimCluster {
 
     /// Per-node counters.
     pub fn counters(&self, node: NodeId) -> &ProtoCounters {
-        &self.counters[node.idx()]
+        &self.shared[node.idx()].counters
     }
 
     /// Total completed requests across the deployment.
     pub fn total_completed(&self) -> u64 {
-        self.counters.iter().map(|c| c.completed.get()).sum()
+        self.shared.iter().map(|s| s.counters.completed.get()).sum()
     }
 
     /// Completed requests on one node.
     pub fn node_completed(&self, node: NodeId) -> u64 {
-        self.counters[node.idx()].completed.get()
+        self.shared[node.idx()].counters.completed.get()
     }
 
     /// Run `dur_ns` of virtual time.

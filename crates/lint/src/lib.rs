@@ -72,10 +72,12 @@
 //! ## `ordering-justification` — atomics say why their ordering is enough
 //!
 //! A bare `Ordering::Relaxed`/`Acquire`/`Release`/`AcqRel` in
-//! `crates/kvs/src`, `crates/lockfree/src`, `crates/net/src` or
+//! `crates/kvs/src`, `crates/lockfree/src`, `crates/net/src`,
 //! `crates/common/src` (home of the packed membership cell every quorum
-//! read goes through) requires an `// ordering:` comment on the statement,
-//! immediately above it, or on the enclosing function's doc block.
+//! read goes through) or `crates/metrics/src` (home of every counter,
+//! gauge, histogram and sketch atomic) requires an `// ordering:` comment
+//! on the statement, immediately above it, or on the enclosing function's
+//! doc block.
 //! (`SeqCst` needs no justification — it is the conservative maximum.)
 //! Test modules are exempt.
 //!
@@ -544,11 +546,12 @@ fn comment_block_contains(lines: &[LexLine], line: usize, marker: &str) -> bool 
 // ---------------------------------------------------------------------------
 
 /// Is `path` inside the ordering-justification scope (the crates whose
-/// atomics guard the seqlock / Merkle-lattice / fabric fast paths, plus
+/// atomics guard the seqlock / Merkle-lattice / fabric fast paths,
 /// `kite-common`, whose packed membership cell gates every quorum and
-/// voter-set read)?
+/// voter-set read, and `kite-metrics`, home of every protocol counter's
+/// atomic)?
 fn in_ordering_scope(path: &str) -> bool {
-    ["crates/kvs/src", "crates/lockfree/src", "crates/net/src", "crates/common/src"]
+    ["crates/kvs/src", "crates/lockfree/src", "crates/net/src", "crates/common/src", "crates/metrics/src"]
         .iter()
         .any(|p| path.contains(p))
 }

@@ -331,6 +331,21 @@ fn epoch(cell: &AtomicU64) -> u32 {
     assert_eq!(v.len(), 1, "{v:?}");
 }
 
+#[test]
+fn kite_metrics_is_inside_the_ordering_scope() {
+    // Every protocol counter's atomic lives in kite-metrics.
+    let bare = r#"
+fn incr(c: &AtomicU64) {
+    c.fetch_add(1, Ordering::Relaxed);
+}
+"#;
+    let v: Vec<Violation> = analyze_source("crates/metrics/src/fixture.rs", bare)
+        .into_iter()
+        .filter(|v| v.rule == Rule::OrderingJustification)
+        .collect();
+    assert_eq!(v.len(), 1, "{v:?}");
+}
+
 // ---------------------------------------------------------------------------
 // no-blocking-in-loop
 // ---------------------------------------------------------------------------

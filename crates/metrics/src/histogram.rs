@@ -34,9 +34,12 @@ pub fn bucket_of(v: u64) -> usize {
 /// Lock-free log2 histogram. All state is inline fixed-size atomics, so
 /// construction is the only allocation (of the containing `Arc`, if any) and
 /// recording is allocation-free by construction.
+///
+/// Every access is `Relaxed`: bucket totals and the sum are read for
+/// reporting, never for synchronization, and a snapshot that misses an
+/// in-flight `record` is acceptable.
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
 }
 
@@ -50,30 +53,26 @@ impl Histogram {
     pub fn new() -> Self {
         Histogram {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
 
-    /// Record one sample. Hot path: three relaxed `fetch_add`s, no branches
-    /// beyond the bucket computation, no allocation.
+    /// Record one sample. Hot path: two relaxed `fetch_add`s, no branches
+    /// beyond the bucket computation, no allocation. The sample count is
+    /// not kept apart: a snapshot sums it from the buckets.
+    // ordering: statistics only (see the type docs).
     // kite-lint: no-alloc
     #[inline]
     pub fn record(&self, v: u64) {
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Total samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// Copy the current bucket counts out. The copy is not atomic across
     /// buckets (a concurrent `record` may be half-visible), which is fine
     /// for monitoring: every bucket value is a real count that was true at
     /// some point during the copy.
+    // ordering: statistics only (see the type docs).
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut s = HistogramSnapshot::default();
         for (i, b) in self.buckets.iter().enumerate() {
@@ -85,11 +84,11 @@ impl Histogram {
     }
 
     /// Reset all buckets to zero (tests / epoch-based windows).
+    // ordering: statistics only (see the type docs).
     pub fn clear(&self) {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
     }
 }

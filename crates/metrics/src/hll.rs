@@ -79,6 +79,8 @@ impl Hll {
     }
 
     /// Observe one key. Lock-free CAS-max on a single register byte.
+    // ordering: a monitoring sketch; the CAS-max needs atomicity on the one
+    // register, not ordering against any other memory.
     // kite-lint: no-alloc
     #[inline]
     pub fn observe(&self, key: u64) {
@@ -109,6 +111,7 @@ impl Hll {
         let mut inv_sum = 0.0f64;
         let mut zeros = 0u64;
         for reg in self.registers.iter() {
+            // ordering: a monitoring-grade snapshot (see the module docs).
             let r = reg.load(Ordering::Relaxed);
             if r == 0 {
                 zeros += 1;
@@ -130,6 +133,7 @@ impl Hll {
     /// Reset every register (tests / epoch windows).
     pub fn clear(&self) {
         for reg in self.registers.iter() {
+            // ordering: a monitoring sketch; nothing is published behind it.
             reg.store(0, Ordering::Relaxed);
         }
     }

@@ -33,7 +33,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Monotone counter, padded to its own cache-line pair so independent
-/// counters never false-share.
+/// counters never false-share. Padding matters: the protocol counters are
+/// bumped on every completed request from every worker.
+///
+/// Every counter here orders nothing: readers want an eventually-accurate
+/// total, never a happens-before edge, so each access is `Relaxed`.
 #[repr(align(128))]
 #[derive(Default)]
 pub struct Counter(AtomicU64);
@@ -47,6 +51,7 @@ impl Counter {
     // kite-lint: no-alloc
     #[inline]
     pub fn incr(&self) {
+        // ordering: statistics only (see the type docs).
         self.0.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -54,11 +59,19 @@ impl Counter {
     // kite-lint: no-alloc
     #[inline]
     pub fn add(&self, n: u64) {
+        // ordering: statistics only (see the type docs).
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {
+        // ordering: statistics only (see the type docs).
         self.0.load(Ordering::Relaxed)
+    }
+}
+
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Counter({})", self.get())
     }
 }
 
@@ -76,10 +89,12 @@ impl Gauge {
     // kite-lint: no-alloc
     #[inline]
     pub fn set(&self, v: u64) {
+        // ordering: a monitoring value; nothing is published behind it.
         self.0.store(v, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {
+        // ordering: a monitoring value; nothing is published behind it.
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -212,6 +227,14 @@ fn render_hist(out: &mut String, name: &str, s: &HistogramSnapshot) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counter_is_padded() {
+        // The lockfree driver's stats and `ProtoCounters` rely on each
+        // counter owning its cache-line pair.
+        assert!(std::mem::align_of::<Counter>() >= 128);
+        assert_eq!(std::mem::size_of::<Counter>(), 128);
+    }
 
     #[test]
     fn registry_renders_key_value_lines() {

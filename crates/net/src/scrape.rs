@@ -20,7 +20,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use kite::NodeShared;
-use kite_common::stats::{Counter as ProtoCounter, ProtoCounters};
+use kite_common::stats::ProtoCounters;
 use kite_common::NodeId;
 use kite_metrics::Registry;
 use kite_wal::Wal;
@@ -54,12 +54,6 @@ impl MetricsHub {
     }
 }
 
-/// Re-export one protocol counter through the registry.
-fn bridge(reg: &Registry, name: &str, counters: &Arc<ProtoCounters>, f: fn(&ProtoCounters) -> &ProtoCounter) {
-    let c = Arc::clone(counters);
-    reg.poll_fn(name, move || f(&c).get());
-}
-
 /// Build the hub for one node: bridge every layer's live counters into one
 /// registry. `mode` is the protocol-mode tag shown in the `dump` view (the
 /// scrape view is numeric-only `key value` lines).
@@ -80,27 +74,11 @@ pub fn node_metrics_hub(
         move || me
     });
 
-    // -- core protocol counters (ProtoCounters re-exported) ---------------
-    bridge(&reg, "proto_completed", counters, |c| &c.completed);
-    bridge(&reg, "proto_local_reads", counters, |c| &c.local_reads);
-    bridge(&reg, "proto_slow_path_accesses", counters, |c| &c.slow_path_accesses);
-    bridge(&reg, "proto_fast_releases", counters, |c| &c.fast_releases);
-    bridge(&reg, "proto_slow_releases", counters, |c| &c.slow_releases);
-    bridge(&reg, "proto_epoch_bumps", counters, |c| &c.epoch_bumps);
-    bridge(&reg, "proto_envelopes_sent", counters, |c| &c.envelopes_sent);
-    bridge(&reg, "proto_msgs_sent", counters, |c| &c.msgs_sent);
-    bridge(&reg, "proto_acks_sent", counters, |c| &c.acks_sent);
-    bridge(&reg, "proto_acks_coalesced", counters, |c| &c.acks_coalesced);
-    bridge(&reg, "proto_msgs_batched", counters, |c| &c.msgs_batched);
-    bridge(&reg, "proto_ae_digests_sent", counters, |c| &c.ae_digests_sent);
-    bridge(&reg, "proto_ae_digest_keys", counters, |c| &c.ae_digest_keys);
-    bridge(&reg, "proto_ae_summaries_sent", counters, |c| &c.ae_summaries_sent);
-    bridge(&reg, "proto_ae_merkle_reqs", counters, |c| &c.ae_merkle_reqs);
-    bridge(&reg, "proto_ae_digest_bytes", counters, |c| &c.ae_digest_bytes);
-    bridge(&reg, "proto_ae_repair_reqs", counters, |c| &c.ae_repair_reqs);
-    bridge(&reg, "proto_ae_repair_vals", counters, |c| &c.ae_repair_vals);
-    bridge(&reg, "proto_ae_repairs_applied", counters, |c| &c.ae_repairs_applied);
-    bridge(&reg, "proto_ae_repair_bytes", counters, |c| &c.ae_repair_bytes);
+    // -- core protocol counters: every `ProtoCounters` field, by name ----
+    for &(name, get) in ProtoCounters::TABLE {
+        let c = Arc::clone(counters);
+        reg.poll_fn(&format!("proto_{name}"), move || get(&c).get());
+    }
 
     // -- live membership (epoch-based reconfiguration) --------------------
     // The packed cell decomposes into three gauges so a scrape delta shows
@@ -118,9 +96,6 @@ pub fn node_metrics_hub(
         let s = Arc::clone(shared);
         move || s.membership.load().learners.0 as u64
     });
-    bridge(&reg, "proto_membership_installs", counters, |c| &c.membership_installs);
-    bridge(&reg, "proto_stale_epoch_dropped", counters, |c| &c.stale_epoch_dropped);
-    bridge(&reg, "proto_membership_pulls", counters, |c| &c.membership_pulls);
 
     // -- kvs store: op counts + distinct-keys sketch ----------------------
     reg.poll_fn("store_len", {

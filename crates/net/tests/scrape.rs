@@ -11,7 +11,9 @@
 //!   distinct-key count tracked client-side;
 //! * a second scrape observes progress (the view is live, not a snapshot
 //!   taken at launch);
-//! * the `dump` view returns the promoted watchdog text.
+//! * the `dump` view returns the promoted watchdog text;
+//! * every protocol counter is exported exactly once, under the name pinned
+//!   by a golden list.
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -19,8 +21,18 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use kite::ProtocolMode;
+use kite_common::stats::ProtoCounters;
 use kite_common::{ClusterConfig, Key, NodeId};
 use kite_net::{launch_local_cluster, RemoteSession};
+
+/// The `proto_*` keys the scrape view exports, less the prefix.
+/// Dashboards and `scripts/e2e_tcp.sh` read these names, so a rename or a
+/// dropped counter must fail here rather than go missing from a scrape.
+const GOLDEN_PROTO_KEYS: &str = "completed local_reads slow_path_accesses fast_releases \
+    slow_releases epoch_bumps envelopes_sent msgs_sent acks_sent acks_coalesced msgs_batched \
+    ae_digests_sent ae_digest_keys ae_summaries_sent ae_merkle_reqs ae_digest_bytes \
+    ae_repair_reqs ae_repair_vals ae_repairs_applied ae_repair_bytes membership_installs \
+    stale_epoch_dropped membership_pulls";
 
 fn cfg(wal_dir: &str) -> ClusterConfig {
     ClusterConfig::small()
@@ -47,6 +59,17 @@ fn metric(body: &str, name: &str) -> Option<u64> {
         let (k, v) = l.split_once(' ')?;
         (k == name).then(|| v.parse().expect("numeric metric value"))
     })
+}
+
+/// The `proto_*` keys of a scrape body, sorted.
+fn proto_keys(body: &str) -> Vec<&str> {
+    let mut keys: Vec<&str> = body
+        .lines()
+        .filter_map(|l| l.split_once(' ').map(|(k, _)| k))
+        .filter(|k| k.starts_with("proto_"))
+        .collect();
+    keys.sort_unstable();
+    keys
 }
 
 fn wait_for(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
@@ -96,12 +119,25 @@ fn scrape_mid_run_under_flash_crowd() {
     };
     drive(&mut sessions, &mut exact, 400);
 
+    // Every protocol counter is exported exactly once: one line per
+    // counter-table entry, and the names match the golden list.
+    let mut from_table: Vec<String> =
+        ProtoCounters::TABLE.iter().map(|(name, _)| format!("proto_{name}")).collect();
+    from_table.sort_unstable();
+    let mut golden: Vec<String> =
+        GOLDEN_PROTO_KEYS.split_whitespace().map(|name| format!("proto_{name}")).collect();
+    golden.sort_unstable();
+    assert_eq!(golden.len(), 23);
+
     // Mid-run scrape of every node: sessions are still open, the cluster
     // keeps serving. The full acceptance surface must be present.
     let mut completed_first = Vec::new();
     for (n, addr) in maddrs.iter().enumerate() {
         let body = scrape(addr, "scrape");
         assert_eq!(metric(&body, "node_id"), Some(n as u64), "node {n} identity");
+        let exported = proto_keys(&body);
+        assert_eq!(exported, from_table, "node {n}: one line per counter-table entry");
+        assert_eq!(exported, golden, "node {n}: protocol counters drifted from the golden list");
         assert!(metric(&body, "proto_completed").expect("proto_completed") > 0, "node {n}");
         assert!(metric(&body, "store_writes").expect("store_writes") > 0, "node {n}");
         // Per-class latency histograms with all three quantiles.

@@ -17,7 +17,6 @@ pub struct ZabSimCluster {
     /// The discrete-event executor running the ZAB workers.
     pub sim: Sim<ZabWorker>,
     shared: Vec<Arc<ZabShared>>,
-    counters: Vec<Arc<ProtoCounters>>,
 }
 
 impl ZabSimCluster {
@@ -29,10 +28,8 @@ impl ZabSimCluster {
         hook: Option<CompletionHook>,
     ) -> Self {
         cfg.validate().expect("invalid cluster config");
-        let counters: Vec<Arc<ProtoCounters>> =
-            (0..cfg.nodes).map(|_| Arc::new(ProtoCounters::default())).collect();
         let shared: Vec<Arc<ZabShared>> = (0..cfg.nodes)
-            .map(|n| ZabShared::new(NodeId(n as u8), cfg.clone(), Arc::clone(&counters[n])))
+            .map(|n| ZabShared::new(NodeId(n as u8), cfg.clone(), Arc::new(ProtoCounters::default())))
             .collect();
 
         let mut actors: Vec<Vec<ZabWorker>> = Vec::with_capacity(cfg.nodes);
@@ -52,7 +49,7 @@ impl ZabSimCluster {
             }
             actors.push(per_node);
         }
-        ZabSimCluster { sim: Sim::new(actors, sim_cfg), shared, counters }
+        ZabSimCluster { sim: Sim::new(actors, sim_cfg), shared }
     }
 
     /// One node's shared state.
@@ -62,12 +59,12 @@ impl ZabSimCluster {
 
     /// One node's counters.
     pub fn counters(&self, node: NodeId) -> &ProtoCounters {
-        &self.counters[node.idx()]
+        &self.shared[node.idx()].counters
     }
 
     /// Completed requests across the deployment.
     pub fn total_completed(&self) -> u64 {
-        self.counters.iter().map(|c| c.completed.get()).sum()
+        self.shared.iter().map(|s| s.counters.completed.get()).sum()
     }
 
     /// Run `dur_ns` of virtual time.
